@@ -31,7 +31,7 @@ def test_monte_carlo_trial_scaling(benchmark, paper_graphs, trials):
     assert result.trials == trials
 
 
-@pytest.mark.parametrize("batch_size", [1_024, 8_192, 32_768])
+@pytest.mark.parametrize("batch_size", [None, 1_024, 8_192, 32_768])
 def test_monte_carlo_batch_size(benchmark, paper_graphs, batch_size):
     graph = paper_graphs["cholesky"]
     model = ExponentialErrorModel.for_graph(graph, PFAIL)

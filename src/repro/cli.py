@@ -29,10 +29,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import threading
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, List, Optional
+
+import numpy as np
 
 from . import estimate_expected_makespan
 from .core.serialize import save_dot, save_json
@@ -305,12 +308,32 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                     "expected_makespan": r.expected_makespan,
                     "failure_free_makespan": r.failure_free_makespan,
                     "wall_time": r.wall_time,
+                    "std_error": r.std_error,
+                    "confidence_interval": r.confidence_interval,
+                    "details": r.details,
                 }
                 for r in outputs
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_json_safe(payload), indent=2, allow_nan=False))
     return 0
+
+
+def _json_safe(value: Any) -> Any:
+    """``value`` with NumPy scalars unwrapped and non-finite floats as ``None``.
+
+    Strict JSON has no ``Infinity``/``NaN`` (a one-trial confidence
+    interval is ``(-inf, inf)``) and no NumPy types.
+    """
+    if isinstance(value, dict):
+        return {str(k): _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ from typing import Optional
 from ..core.graph import TaskGraph
 from ..core.paths import critical_path_length
 from ..failures.models import ErrorModel
-from ..sim.engine import DEFAULT_BATCH, DEFAULT_TRIALS, MonteCarloEngine
+from ..sim.engine import DEFAULT_TRIALS, MonteCarloEngine
 from ..sim.sampler import SamplingMode
 from .base import EstimateResult, MakespanEstimator
 
@@ -59,7 +59,15 @@ class MonteCarloEstimator(MakespanEstimator):
         (``"numpy"``, ``"numba"`` or ``"cupy"``; ``None`` resolves
         ``REPRO_KERNEL_BACKEND``).  The numba path is bit-identical to
         the NumPy pipeline; see :mod:`repro.core.backends`.
-    batch_size, keep_samples, target_relative_half_width:
+    batch_size:
+        Trials per vectorised batch.  ``None`` (default) sizes each batch
+        from its working set (:func:`repro.sim.auto_batch_size`: the
+        kernel dtype's itemsize plus 9 two-state or 8 geometric sampling
+        bytes per task and trial, the largest power of two within 12 MiB,
+        clamped to ``[64, 2048]`` and to ``trials``); an explicit size
+        overrides the rule.  The resolved size is reported in
+        ``details["batch_size"]``.
+    keep_samples, target_relative_half_width:
         Forwarded to :class:`repro.sim.MonteCarloEngine`.
     """
 
@@ -71,7 +79,7 @@ class MonteCarloEstimator(MakespanEstimator):
         trials: int = DEFAULT_TRIALS,
         seed: Optional[int] = None,
         mode: SamplingMode = "two-state",
-        batch_size: int = DEFAULT_BATCH,
+        batch_size: Optional[int] = None,
         reexecution_factor: float = 2.0,
         keep_samples: bool = False,
         target_relative_half_width: Optional[float] = None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,9 +33,7 @@ def mean_confidence_interval(
         return (-math.inf, math.inf)
     if not (0.0 < confidence < 1.0):
         raise EstimationError("confidence must be in (0, 1)")
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half_width = z * std / math.sqrt(count)
     return (mean - half_width, mean + half_width)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Tuple
 
 from ..exceptions import EstimationError
@@ -104,14 +105,12 @@ class NormalRV:
         return norm_cdf((x - self.mean) / self.std)
 
     def quantile(self, q: float) -> float:
-        """Inverse CDF (uses :func:`scipy.stats.norm` for accuracy)."""
+        """Inverse CDF (:meth:`statistics.NormalDist.inv_cdf`)."""
         if not (0.0 < q < 1.0):
             raise EstimationError("quantile level must be in (0, 1)")
         if self.variance == 0.0:
             return self.mean
-        from scipy.stats import norm
-
-        return float(norm.ppf(q, loc=self.mean, scale=self.std))
+        return NormalDist(self.mean, self.std).inv_cdf(q)
 
 
 def clark_max_moments(

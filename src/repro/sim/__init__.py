@@ -8,10 +8,10 @@ from .sampler import (
     task_failure_probabilities,
 )
 from .engine import (
-    DEFAULT_BATCH,
     DEFAULT_TRIALS,
     MonteCarloEngine,
     MonteCarloResult,
+    auto_batch_size,
     simulate_expected_makespan,
 )
 from .executors import BACKENDS, batch_stream, resolve_backend
@@ -35,7 +35,7 @@ __all__ = [
     "MonteCarloResult",
     "simulate_expected_makespan",
     "DEFAULT_TRIALS",
-    "DEFAULT_BATCH",
+    "auto_batch_size",
     "BACKENDS",
     "batch_stream",
     "resolve_backend",

@@ -85,13 +85,35 @@ from .stats import (
     ReservoirSample,
 )
 
-__all__ = ["MonteCarloResult", "MonteCarloEngine", "simulate_expected_makespan"]
+__all__ = [
+    "MonteCarloResult",
+    "MonteCarloEngine",
+    "auto_batch_size",
+    "simulate_expected_makespan",
+]
 
 #: Default number of trials.  The paper uses 300,000; the package default is
 #: smaller so that interactive use and the test-suite stay fast, and the
 #: experiment drivers override it explicitly.
 DEFAULT_TRIALS = 50_000
-DEFAULT_BATCH = 8_192
+
+#: Working-set budget of one automatically sized batch, in bytes.  Fitted
+#: to float64 trials/s measured on a 2-CPU x86 host (2 MiB of L2 per core):
+#:
+#: ============  =====  ======  ======  ======  =====  =====
+#: DAG           tasks  8192    2048    1024    256    64
+#: ============  =====  ======  ======  ======  =====  =====
+#: cholesky 6       56  832k    1,180k  1,124k  695k   244k
+#: cholesky 12     364  122k    183k    176k    143k   --
+#: lu 20         2,870  4.2k    8.9k    19.3k   23.8k  --
+#: cholesky 24   2,600  4.0k    4.3k    13.7k   29.6k  20.9k
+#: cholesky 40  11,480  --      --      212     1,957  4,420
+#: ============  =====  ======  ======  ======  =====  =====
+BATCH_BUDGET_BYTES = 12 * 2**20
+#: Clamp of an automatically sized batch: below 64 trials the per-batch
+#: Python overhead dominates, above 2048 nothing measured got faster.
+MIN_BATCH = 64
+MAX_BATCH = 2_048
 
 #: Spawn key of the reservoir's dedicated RNG stream — far outside the
 #: per-batch key range so enabling the reservoir never perturbs a trial.
@@ -148,6 +170,32 @@ class MonteCarloResult:
             f"MC[{self.trials} trials]: mean={self.mean:.6g} "
             f"(95% CI [{low:.6g}, {high:.6g}], {self.wall_time:.2f}s)"
         )
+
+
+def auto_batch_size(
+    num_tasks: int,
+    dtype: Union[str, np.dtype, type],
+    mode: SamplingMode,
+    trials: int,
+) -> int:
+    """Trials per batch that keep one batch's working set in cache.
+
+    A batch touches, per task and trial, one kernel-buffer value of
+    ``dtype`` plus its sampling buffers: an 8-byte uniform and a 1-byte
+    failure mask in two-state mode, or an 8-byte int64 draw in geometric
+    mode.  The batch is the largest power of two whose working set fits
+    :data:`BATCH_BUDGET_BYTES`, clamped to ``[MIN_BATCH, MAX_BATCH]`` and
+    then to ``trials``.
+
+    The result depends on these four arguments only -- never on the
+    execution backend or the worker count -- so ``threads`` and
+    ``processes`` keep one batch plan, and one result, at any worker count.
+    """
+    sampling = 9 if mode == "two-state" else 8
+    per_trial = int(num_tasks) * (np.dtype(dtype).itemsize + sampling)
+    fit = BATCH_BUDGET_BYTES // per_trial if per_trial else MAX_BATCH
+    batch = 1 << (fit.bit_length() - 1) if fit else 0
+    return min(max(MIN_BATCH, min(MAX_BATCH, batch)), int(trials))
 
 
 class _BatchWorker:
@@ -263,9 +311,14 @@ class MonteCarloEngine:
     trials:
         Total number of trials.
     batch_size:
-        Trials evaluated per vectorised batch (memory ~ ``batch_size x
-        num_tasks`` values of the chosen dtype, plus the sampling buffers,
-        per worker).
+        Trials evaluated per vectorised batch.  ``None`` (default) sizes
+        the batch from its working set with :func:`auto_batch_size`:
+        ``itemsize`` of ``dtype`` plus 9 sampling bytes (two-state) or 8
+        (geometric) per task and trial, the largest power of two within
+        12 MiB, clamped to ``[64, 2048]`` and to ``trials`` -- e.g. 2048
+        for cholesky k=6, 1024 for cholesky k=12 and 256 for lu k=20 in
+        float64.  An explicit size overrides the rule.  Each worker holds
+        one batch's buffers.
     seed:
         Seed (or generator) for reproducibility.
     mode:
@@ -330,7 +383,7 @@ class MonteCarloEngine:
         model: ErrorModel,
         *,
         trials: int = DEFAULT_TRIALS,
-        batch_size: int = DEFAULT_BATCH,
+        batch_size: Optional[int] = None,
         seed: Optional[int] = None,
         mode: SamplingMode = "two-state",
         reexecution_factor: float = 2.0,
@@ -350,7 +403,7 @@ class MonteCarloEngine:
     ) -> None:
         if trials <= 0:
             raise EstimationError("number of trials must be positive")
-        if batch_size <= 0:
+        if batch_size is not None and batch_size <= 0:
             raise EstimationError("batch size must be positive")
         if mode not in ("two-state", "geometric"):
             raise EstimationError(f"unknown sampling mode {mode!r}")
@@ -374,7 +427,6 @@ class MonteCarloEngine:
         self.index: GraphIndex = graph.index()
         self.model = model
         self.trials = int(trials)
-        self.batch_size = int(batch_size)
         self.mode = mode
         self.reexecution_factor = reexecution_factor
         self.keep_samples = keep_samples
@@ -396,6 +448,11 @@ class MonteCarloEngine:
         except GraphError as exc:
             # Constructor-argument problems consistently raise EstimationError.
             raise EstimationError(str(exc)) from None
+        self.batch_size = (
+            auto_batch_size(self.index.num_tasks, self.dtype, mode, self.trials)
+            if batch_size is None
+            else int(batch_size)
+        )
 
         # -- one-time pipeline setup (nothing below re-runs per batch) ----
         n = self.index.num_tasks

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -86,9 +87,7 @@ def required_trials(
         raise EstimationError("target relative error must be positive")
     if mean == 0:
         raise EstimationError("mean must be non-zero")
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n = (z * std / (target_relative_error * abs(mean))) ** 2
     return max(1, int(math.ceil(n)))
 

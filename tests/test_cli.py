@@ -100,6 +100,31 @@ class TestEstimate:
         assert methods == {"first-order", "monte-carlo"}
         for entry in payload["estimates"]:
             assert entry["expected_makespan"] >= entry["failure_free_makespan"]
+        mc = next(e for e in payload["estimates"] if e["method"] == "monte-carlo")
+        assert mc["details"]["batch_size"] == 2000  # auto size, clamped to trials
+        assert mc["details"]["trials"] == 2000
+        assert mc["details"]["dtype"] == "float64"
+        assert mc["details"]["execution"]["partitions"] == 1
+        low, high = mc["confidence_interval"]
+        assert low <= mc["expected_makespan"] <= high
+        assert mc["std_error"] > 0
+
+    def test_json_output_is_strict_json(self, capsys):
+        # One trial has an unbounded confidence interval: strict JSON
+        # carries it as null, never as Infinity.
+        code = main(
+            ["estimate", "--workflow", "lu", "--size", "4", "--pfail", "0.01",
+             "--method", "monte-carlo", "--trials", "1", "--seed", "7", "--json"]
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        (mc,) = payload["estimates"]
+        assert mc["confidence_interval"] == [None, None]
+        assert mc["details"]["batch_size"] == 1
 
 
 class TestExperimentAndSchedule:

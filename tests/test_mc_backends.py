@@ -111,6 +111,26 @@ class TestCrossBackendDeterminism:
             serial.standard_error + threads.standard_error
         )
 
+    def test_auto_batch_threads_equal_processes_at_any_worker_count(self, case):
+        # The resolved batch depends on the graph, dtype, mode and trials
+        # only, so every parallel configuration shares one batch plan.
+        graph, model = case
+        kw = dict(trials=5_000, seed=31, keep_samples=True)
+        results = [
+            MonteCarloEngine(graph, model, backend=backend, workers=workers, **kw).run()
+            for workers in (1, 2, 3)
+            for backend in ("threads", "processes")
+        ]
+        reference = results[0]
+        assert reference.batch_size < kw["trials"]  # more than one batch
+        for other in results:
+            assert other.batch_size == reference.batch_size
+            assert np.array_equal(
+                other.samples.samples(), reference.samples.samples()
+            ), f"{other.backend}/{other.workers} diverged"
+            assert other.mean == reference.mean
+            assert other.std == reference.std
+
     def test_processes_reproducible_across_runs(self, case):
         graph, model = case
         kw = dict(trials=3_000, batch_size=512, seed=5, keep_samples=True)

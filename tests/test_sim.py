@@ -1,17 +1,32 @@
 """Unit tests for repro.sim (sampling, Monte Carlo engine, statistics)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.generators import chain_graph
+from repro.core.graph import TaskGraph
 from repro.core.paths import critical_path_length
 from repro.exceptions import EstimationError
 from repro.failures.models import ExponentialErrorModel, FixedProbabilityModel
 from repro.rv.empirical import RunningMoments
-from repro.sim.engine import MonteCarloEngine, simulate_expected_makespan
+from repro.sim.engine import (
+    BATCH_BUDGET_BYTES,
+    MAX_BATCH,
+    MIN_BATCH,
+    MonteCarloEngine,
+    auto_batch_size,
+    simulate_expected_makespan,
+)
 from repro.sim.longest_path import batch_makespans_with_details, streaming_makespans
 from repro.sim.sampler import sample_failure_mask, sample_task_times
 from repro.sim.stats import ConvergenceTracker, relative_half_width, required_trials
+from repro.workflows.registry import build_dag
 
 
 class TestSampler:
@@ -107,8 +122,119 @@ class TestEngine:
         model = FixedProbabilityModel(0.1)
         with pytest.raises(EstimationError):
             MonteCarloEngine(diamond, model, trials=-1)
-        with pytest.raises(EstimationError):
-            MonteCarloEngine(diamond, model, batch_size=0)
+        for batch_size in (0, -1, -8_192):
+            with pytest.raises(EstimationError):
+                MonteCarloEngine(diamond, model, batch_size=batch_size)
+
+
+class TestAutoBatchSize:
+    """The default batch is sized from its working set, purely."""
+
+    #: (tasks, dtype, mode, trials) -> resolved batch.
+    CASES = [
+        ((0, "float64", "two-state", 50_000), MAX_BATCH),
+        ((0, "float64", "two-state", 10), 10),
+        ((56, "float64", "two-state", 50_000), 2_048),  # cholesky k=6
+        ((364, "float64", "two-state", 100_000), 1_024),  # cholesky k=12
+        ((364, "float32", "two-state", 100_000), 2_048),
+        ((364, "float64", "geometric", 100_000), 2_048),
+        ((2_600, "float32", "two-state", 20_000), 256),  # cholesky k=24
+        ((2_870, "float64", "two-state", 20_000), 256),  # lu k=20
+        ((2_870, "float64", "geometric", 20_000), 256),
+        ((11_480, "float64", "two-state", 300_000), 64),  # cholesky k=40
+        ((11_480, "float32", "geometric", 300_000), 64),
+        ((100_000, "float64", "two-state", 50_000), MIN_BATCH),
+        ((364, "float64", "two-state", 32), 32),
+        ((2_870, "float64", "two-state", 100), 100),
+    ]
+
+    @staticmethod
+    def _working_set(tasks, dtype, mode, batch):
+        sampling = 8 + 1 if mode == "two-state" else 8  # uniform + mask | int64
+        return tasks * batch * (np.dtype(dtype).itemsize + sampling)
+
+    @pytest.mark.parametrize("case, expected", CASES)
+    def test_resolver_table(self, case, expected):
+        tasks, dtype, mode, trials = case
+        batch = auto_batch_size(*case)
+        assert batch == expected
+        assert batch == auto_batch_size(*case)  # pure: same inputs, same size
+        assert batch <= trials
+        assert batch & (batch - 1) == 0 or batch == trials  # a power of two
+        fits = self._working_set(tasks, dtype, mode, batch) <= BATCH_BUDGET_BYTES
+        assert fits or batch <= MIN_BATCH
+        if batch < min(MAX_BATCH, trials):
+            # The largest power of two that fits: doubling overflows.
+            assert not self._working_set(tasks, dtype, mode, 2 * batch) <= BATCH_BUDGET_BYTES
+
+    def test_engine_reports_resolved_size(self, cholesky4):
+        model = FixedProbabilityModel(0.1)
+        for dtype, mode in [("float64", "two-state"), ("float32", "geometric")]:
+            engine = MonteCarloEngine(
+                cholesky4, model, trials=5_000, seed=1, dtype=dtype, mode=mode
+            )
+            expected = auto_batch_size(cholesky4.num_tasks, dtype, mode, 5_000)
+            assert engine.batch_size == expected
+            assert engine.run().batch_size == expected
+        empty = MonteCarloEngine(TaskGraph(), model, trials=100, seed=1).run()
+        assert empty.batch_size == 100 and empty.mean == 0.0
+
+    def test_resolved_size_independent_of_backend_and_workers(self, cholesky4):
+        model = FixedProbabilityModel(0.1)
+        sizes = {
+            MonteCarloEngine(
+                cholesky4, model, trials=5_000, backend=backend, workers=workers
+            ).batch_size
+            for backend, workers in [("serial", 1), ("threads", 1), ("threads", 3)]
+        }
+        assert sizes == {auto_batch_size(cholesky4.num_tasks, "float64", "two-state", 5_000)}
+
+    def test_explicit_batch_size_honoured(self, cholesky4):
+        model = FixedProbabilityModel(0.1)
+        for batch_size in (1, 100, 8_192, 50_000):
+            engine = MonteCarloEngine(
+                cholesky4, model, trials=3_000, seed=2, batch_size=batch_size
+            )
+            result = engine.run()
+            assert engine.batch_size == result.batch_size == batch_size
+            assert engine._batch_plan() == [min(batch_size, 3_000 - start)
+                                            for start in range(0, 3_000, batch_size)]
+
+    @pytest.mark.parametrize("mode", ["two-state", "geometric"])
+    def test_serial_auto_matches_explicit_8192(self, mode):
+        # One trial-major RNG stream whatever the batch size: the same
+        # samples, only the summation order of the mean differs.
+        graph = build_dag("cholesky", 12)
+        model = ExponentialErrorModel.for_graph(graph, 1e-2)
+        kw = dict(trials=10_000, seed=4, mode=mode, keep_samples=True)
+        auto = MonteCarloEngine(graph, model, **kw).run()
+        fixed = MonteCarloEngine(graph, model, batch_size=8_192, **kw).run()
+        assert auto.batch_size < 8_192
+        assert np.array_equal(auto.samples.samples(), fixed.samples.samples())
+        assert auto.mean == pytest.approx(fixed.mean, rel=1e-12, abs=0.0)
+        assert auto.std == pytest.approx(fixed.std, rel=1e-12, abs=0.0)
+        assert (auto.minimum, auto.maximum) == (fixed.minimum, fixed.maximum)
+
+    def test_default_estimate_does_not_import_scipy_stats(self):
+        # The normal quantile behind every confidence interval comes from
+        # the standard library; scipy.stats costs about a second to import.
+        code = (
+            "import sys\n"
+            "from repro import estimate_expected_makespan\n"
+            "from repro.workflows.registry import build_dag\n"
+            "r = estimate_expected_makespan(build_dag('cholesky', 4), 1e-2,\n"
+            "    method='monte-carlo', trials=2_000, seed=1)\n"
+            "assert r.confidence_interval[0] < r.expected_makespan\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class CountingModel(FixedProbabilityModel):
